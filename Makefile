@@ -35,18 +35,19 @@ STREAM_FLAT_WITHIN ?= 0.30
 CONDITION_MAX_NS_PER_SAMPLE ?= 150
 CONDITION_MAX_ALLOCS_PER_SAMPLE ?= 0.01
 
-# Serving-layer wire-decode ceilings: NDJSON measured ~1200 ns/sample
-# (hand-rolled in-place scanner), the binary framing ~24 ns/sample; both
+# Serving-layer wire-decode ceilings: NDJSON measured ~1770 ns/sample
+# (hand-rolled in-place scanner), the binary framing ~45 ns/sample; both
 # are alloc-free at steady state (pinned exactly by TestDecodeAllocFree).
 WIRE_NDJSON_MAX_NS_PER_SAMPLE ?= 2500
 WIRE_BINARY_MAX_NS_PER_SAMPLE ?= 120
 WIRE_MAX_ALLOCS_PER_SAMPLE ?= 0.01
 
 # Tracing-overhead ceilings (BenchmarkHubPush, snapshot in
-# BENCH_trace.json): the full hub pipeline — queue hop + streaming DSP —
-# measured ~870 ns/sample with no tracer attached and ~970 with
-# head-sampling at 1.0, i.e. the wave-batched span path costs ~11% on a
-# sampled request and nothing measurable otherwise. The nil-tracer
+# BENCH_trace.json): the full hub pipeline — 64-sample PushBlock
+# enqueue, queue hop, streaming DSP — measured ~455 ns/sample with no
+# tracer attached and ~475 with head-sampling at 1.0, i.e. one span per
+# drained block costs ~4% on a sampled request and nothing measurable
+# otherwise. The nil-tracer
 # "tracing off is free" contract is pinned exactly (0 allocs) by
 # TestNilTracerAllocFree; the ns/sample drift gate against the committed
 # snapshot is padded far above the 1% design goal because run-to-run
@@ -91,12 +92,12 @@ SERVE_MAX_REJECT_RATE ?= 0.5
 STATE_MAX_SNAPSHOT_NS ?= 250000
 STATE_MAX_BYTES_PER_SESSION ?= 131072
 
-.PHONY: check fmt vet test race conformance cluster-e2e bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen build
+.PHONY: check fmt vet test race conformance cluster-e2e perfbench-check bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen build
 
 # race subsumes test (same suite under the race detector), so check runs
 # the suite once, raced; conformance re-runs the SessionStore contract
 # suite on its own so a store regression is named, not buried.
-check: fmt vet race conformance cluster-e2e bench-guard bench-condition smoke-loadgen
+check: fmt vet race conformance cluster-e2e perfbench-check bench-guard bench-condition smoke-loadgen
 
 build:
 	$(GO) build ./...
@@ -128,6 +129,14 @@ conformance:
 # (docs/CLUSTER.md). Part of check.
 cluster-e2e:
 	$(GO) test ./internal/server -run 'TestClusterE2E' -count=1 -race -v
+
+# The repo benchmark (perfbench/) is its own Go module built against
+# this checkout (replace ptrack => ../), so the root build and test never
+# compile it. This vets and tests it, so a facade change that breaks the
+# benchmark fails here rather than when the benchmark runs. Part of
+# check.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The alloc-ceiling tests fail if the hot path regresses: the one-shot
 # and hook-enabled paths must stay under the post-recycling ceiling

@@ -150,7 +150,7 @@ func TestSessionHubMatchesOnline(t *testing.T) {
 
 	var mu sync.Mutex
 	steps := make(map[string]int)
-	hub, err := NewSessionHub(tr.SampleRate, WithEventHook(func(session string, ev Event) {
+	hub, err := NewSessionHub(tr.SampleRate, WithEventHook(func(session string, ev Event, _ SpanContext) {
 		mu.Lock()
 		steps[session] += ev.StepsAdded
 		mu.Unlock()

@@ -46,6 +46,10 @@
 //	                        (BENCH_trace.json). Benchmarks absent from the
 //	                        baseline pass; a missing baseline file is
 //	                        skipped so fresh snapshots can bootstrap.
+//
+// Benchmark names are recorded and matched without the "-N" GOMAXPROCS
+// suffix go test appends on multi-core runs, so a snapshot taken on one
+// host gates runs on hosts with any other core count.
 package main
 
 import (
@@ -278,7 +282,7 @@ func parse(r io.Reader) (*Report, error) {
 			continue
 		}
 		b := Benchmark{
-			Name:       fields[0],
+			Name:       trimProcs(fields[0]),
 			Iterations: iters,
 			Metrics:    make(map[string]float64, (len(fields)-2)/2),
 		}
@@ -301,13 +305,25 @@ func parse(r io.Reader) (*Report, error) {
 	return report, nil
 }
 
+// trimProcs strips the "-N" GOMAXPROCS suffix from a benchmark name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
+}
+
 func enforce(report, baseline *Report, maxes maxFlags, mins minFlags, maxNsPerSample, maxAllocsPerSample, flatWithin, regressWithin float64) error {
 	var failures []string
 	baseNs := map[string]float64{}
 	if baseline != nil && regressWithin > 0 {
 		for _, b := range baseline.Benchmarks {
 			if ns, ok := b.Metrics["ns/sample"]; ok {
-				baseNs[b.Name] = ns
+				baseNs[trimProcs(b.Name)] = ns
 			}
 		}
 	}

@@ -95,6 +95,30 @@ func TestEnforceBaselineRegression(t *testing.T) {
 	}
 }
 
+// TestProcsSuffixIgnored pins host-independent names: the "-N"
+// GOMAXPROCS suffix is dropped when parsing, and a baseline recorded
+// with one still gates a run on a host with another core count.
+func TestProcsSuffixIgnored(t *testing.T) {
+	out := "BenchmarkHubPush/sampled-8 \t 400\t 2871316 ns/op\t 478.6 ns/sample\n" +
+		"BenchmarkOnlineTrackerScaling/s=60 \t 782\t 3057984 ns/op\t 509.7 ns/sample\n"
+	report, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"BenchmarkHubPush/sampled", "BenchmarkOnlineTrackerScaling/s=60"} {
+		if got := report.Benchmarks[i].Name; got != want {
+			t.Errorf("benchmark %d name = %q, want %q", i, got, want)
+		}
+	}
+	baseline := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkHubPush/sampled-2", Metrics: map[string]float64{"ns/sample": 300}},
+	}}
+	err = enforce(report, baseline, nil, nil, 0, 0, 0, 0.3)
+	if err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Errorf("478.6 vs a suffixed 300 baseline past a 30%% gate: err = %v, want regression failure", err)
+	}
+}
+
 func TestGenericMaxCeilings(t *testing.T) {
 	// The state-snapshot benchmarks report custom metrics the dedicated
 	// flags know nothing about; -max METRIC=N gates any of them.

@@ -66,7 +66,7 @@ func main() {
 	var mu sync.Mutex
 	steps := make(map[string]int)
 	hub, err := ptrack.NewSessionHub(rec.Trace.SampleRate,
-		ptrack.WithEventHook(func(session string, ev ptrack.Event) {
+		ptrack.WithEventHook(func(session string, ev ptrack.Event, _ ptrack.SpanContext) {
 			mu.Lock()
 			steps[session] += ev.StepsAdded
 			mu.Unlock()

@@ -18,15 +18,12 @@ import (
 
 // Hub errors. The facade wraps them, so test with errors.Is.
 var (
-	// ErrHubClosed is returned by Push after Close.
+	// ErrHubClosed is returned by PushBlock after Close.
 	ErrHubClosed = errors.New("engine: hub closed")
-	// ErrQueueFull is returned by Push when the session's bounded queue
-	// is full; the sample is dropped (and counted) rather than blocking
-	// the caller.
+	// ErrQueueFull is returned by PushBlock when the session's bounded
+	// queue is full; the rejected samples are dropped (and counted)
+	// rather than blocking the caller.
 	ErrQueueFull = errors.New("engine: session queue full")
-	// ErrSessionLimit is returned by Push when MaxSessions is reached
-	// and no idle session could be evicted to make room.
-	ErrSessionLimit = errors.New("engine: session limit reached")
 )
 
 // HubConfig tunes a session hub. StreamConfig is the template every
@@ -38,26 +35,24 @@ type HubConfig struct {
 	// QueueSize bounds each session's pending-sample queue. A full queue
 	// drops the pushed sample instead of blocking. Default 256.
 	QueueSize int
-	// IdleTimeout evicts sessions that have not seen a Push for this
+	// IdleTimeout evicts sessions that have not seen a PushBlock for this
 	// long (their tracker is flushed first). Default 2 minutes; negative
 	// disables eviction.
 	IdleTimeout time.Duration
-	// MaxSessions caps concurrently live sessions. When the cap is hit,
-	// Push for a new session first tries to evict the longest-idle
-	// session; if every session is busy it fails with ErrSessionLimit.
-	// Default 0: unlimited.
+	// MaxSessions caps concurrently live sessions. At the cap, PushBlock
+	// for a new session always evicts the longest-idle session (flushed
+	// and checkpointed like any eviction) to make room. Default 0:
+	// unlimited.
 	MaxSessions int
 	// OnEvent receives every classification event, tagged with its
-	// session ID. It is called from per-session goroutines, so it must
-	// be safe for concurrent use. Nil discards events (the hub is then
-	// only useful for its side metrics, e.g. load testing).
-	OnEvent func(session string, ev stream.Event)
-	// OnEventCtx, when set, takes precedence over OnEvent and
-	// additionally receives the span context of the event.emit span the
-	// event was emitted under (the zero SpanContext when the session's
-	// trace is unsampled or tracing is off). This is how the serving
-	// layer's SSE broker parents its sse.deliver spans on the pipeline.
-	OnEventCtx func(session string, ev stream.Event, sc tracing.SpanContext)
+	// session ID and the span context of the event.emit span it was
+	// emitted under (the zero SpanContext when the session's trace is
+	// unsampled or tracing is off), so fan-out layers such as the SSE
+	// broker can parent their own spans on the pipeline. It is called
+	// from per-session goroutines, so it must be safe for concurrent
+	// use. Nil discards events (the hub is then only useful for its side
+	// metrics, e.g. load testing).
+	OnEvent func(session string, ev stream.Event, sc tracing.SpanContext)
 	// OnSessionEnd is called once per session, from the session's
 	// goroutine, after its trailing (flush) events have been delivered —
 	// whether the session left via End, idle eviction, LRU eviction or
@@ -73,7 +68,7 @@ type HubConfig struct {
 	// Store, when set, makes session state durable: each session is
 	// checkpointed into it (periodically while streaming, and finally
 	// when evicted or when the hub closes), and a session whose ID has a
-	// stored snapshot resumes from it on its first Push instead of
+	// stored snapshot resumes from it on its first PushBlock instead of
 	// starting fresh. An explicitly ended session (End) is terminal: its
 	// snapshot is deleted. Store errors never fail the stream — the
 	// session proceeds (fresh, or without durability) and the failure is
@@ -107,7 +102,7 @@ func (c HubConfig) withDefaults() HubConfig {
 
 // Hub multiplexes many concurrent online (streaming) trackers, keyed by
 // session ID. Each session owns a goroutine draining a bounded queue, so
-// Push never blocks on DSP work and concurrent pushes to distinct
+// PushBlock never blocks on DSP work and concurrent pushes to distinct
 // sessions proceed in parallel. Idle sessions are flushed and evicted.
 // Safe for concurrent use.
 type Hub struct {
@@ -121,11 +116,9 @@ type Hub struct {
 	janitorStop chan struct{}
 }
 
-// session is one live stream. lastSeen is guarded by the hub lock (Push
-// holds at least RLock; an atomic would allow RLock writers to race on
-// it, but monotonic staleness only needs the latest of any racing Push,
-// which a plain store under RLock provides on all supported platforms —
-// use the mutex-held update for -race cleanliness instead).
+// session is one live stream. lastSeen is guarded by lastMu, not the hub
+// lock: concurrent PushBlock calls hold only the hub's read lock, and
+// touch keeps the latest of their timestamps.
 type session struct {
 	id   string
 	ch   chan trace.Sample
@@ -139,12 +132,12 @@ type session struct {
 	// The run goroutine parents its tracker.push/event.emit spans on it;
 	// ingest handlers replace it via Hub.SetSessionTrace, so a session's
 	// asynchronous work is attributed to the latest sampled request
-	// touching it — an explicit, documented approximation (queued waves
+	// touching it — an explicit, documented approximation (queued blocks
 	// from an earlier request may land under the newer trace).
 	traceCtx atomic.Pointer[tracing.SpanContext]
 
 	// Introspection counters for /debug/sessions, updated by the run
-	// goroutine and Push (atomics: read lock-free by Hub.Stats).
+	// goroutine (atomics: read lock-free by Hub.Stats).
 	samplesIn atomic.Int64
 	steps     atomic.Int64
 	events    atomic.Int64
@@ -209,7 +202,7 @@ func (s *session) loadCondReport() *condition.Report {
 func NewHub(cfg HubConfig) (*Hub, error) {
 	cfg = cfg.withDefaults()
 	// Build one throwaway tracker so a bad template fails here, not on
-	// the first Push of every session.
+	// the first PushBlock of every session.
 	if _, err := stream.New(cfg.Stream); err != nil {
 		return nil, err
 	}
@@ -232,50 +225,12 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 	return h, nil
 }
 
-// Push routes one sample to the given session, creating it on first use.
-// It never blocks on pipeline work: when the session's queue is full the
-// sample is dropped, the drop is counted, and ErrQueueFull is returned.
-func (h *Hub) Push(id string, s trace.Sample) error {
-	h.mu.RLock()
-	sess := h.sessions[id]
-	if sess != nil {
-		// Fast path: existing session, shared lock only.
-		err := h.enqueue(sess, s)
-		h.mu.RUnlock()
-		return err
-	}
-	closed := h.closed
-	h.mu.RUnlock()
-	if closed {
-		return ErrHubClosed
-	}
-
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return ErrHubClosed
-	}
-	sess = h.sessions[id]
-	if sess == nil {
-		if h.cfg.MaxSessions > 0 && len(h.sessions) >= h.cfg.MaxSessions {
-			if !h.evictIdlestLocked() {
-				h.mu.Unlock()
-				return fmt.Errorf("%w (%d live)", ErrSessionLimit, h.cfg.MaxSessions)
-			}
-		}
-		sess = h.startSessionLocked(id)
-	}
-	err := h.enqueue(sess, s)
-	h.mu.Unlock()
-	return err
-}
-
 // PushBlock routes a block of samples to the given session under a
 // single lock acquisition, creating the session on first use. Samples
 // are enqueued in order until the session's queue fills; it returns how
 // many were accepted, with ErrQueueFull when the tail was dropped (and
-// counted). Callers resume from the accepted count, mirroring Push's
-// drop-don't-block contract.
+// counted). Callers resume from the accepted count: the hub drops
+// rather than blocks.
 func (h *Hub) PushBlock(id string, samples []trace.Sample) (int, error) {
 	if len(samples) == 0 {
 		return 0, nil
@@ -302,10 +257,7 @@ func (h *Hub) PushBlock(id string, samples []trace.Sample) (int, error) {
 	sess = h.sessions[id]
 	if sess == nil {
 		if h.cfg.MaxSessions > 0 && len(h.sessions) >= h.cfg.MaxSessions {
-			if !h.evictIdlestLocked() {
-				h.mu.Unlock()
-				return 0, fmt.Errorf("%w (%d live)", ErrSessionLimit, h.cfg.MaxSessions)
-			}
+			h.evictIdlestLocked()
 		}
 		sess = h.startSessionLocked(id)
 	}
@@ -314,22 +266,10 @@ func (h *Hub) PushBlock(id string, samples []trace.Sample) (int, error) {
 	return n, err
 }
 
-// enqueue performs the non-blocking queue send. Callers hold the hub
-// lock (read or write), which is what makes the send race-free against
-// Close/evict closing the channel: closers hold the write lock.
-func (h *Hub) enqueue(sess *session, s trace.Sample) error {
-	sess.touch(h.cfg.now())
-	select {
-	case sess.ch <- s:
-		return nil
-	default:
-		h.cfg.Hooks.SessionSamplesDropped(1)
-		return fmt.Errorf("%w: session %q", ErrQueueFull, sess.id)
-	}
-}
-
-// enqueueBlock is enqueue for a block: one touch, then in-order sends
-// until the queue rejects. Callers hold the hub lock.
+// enqueueBlock performs the non-blocking queue sends: one touch, then
+// in-order sends until the queue rejects. Callers hold the hub lock (read
+// or write), which is what makes the sends race-free against Close/evict
+// closing the channel: closers hold the write lock.
 func (h *Hub) enqueueBlock(sess *session, samples []trace.Sample) (int, error) {
 	sess.touch(h.cfg.now())
 	for i, s := range samples {
@@ -358,14 +298,6 @@ func (h *Hub) startSessionLocked(id string) *session {
 	go h.run(sess)
 	return sess
 }
-
-// waveMaxSamples bounds how many samples a single tracker.push span may
-// cover. Per-sample spans would drown a trace (a one-second request
-// carries ~50 samples), so the run loop batches a sampled session's
-// pushes into "waves" and flushes a wave's span when it produces events
-// or reaches this size — the span's duration is then the wave's true
-// wall time and the trace stays a readable handful of spans.
-const waveMaxSamples = 64
 
 // run drains one session until its queue is closed, then flushes.
 func (h *Hub) run(sess *session) {
@@ -424,16 +356,16 @@ func (h *Hub) run(sess *session) {
 	}
 
 	// deliver fans events out to the configured callback, minting one
-	// event.emit span per event when the wave is traced.
+	// event.emit span per event under a sampled parent.
 	deliver := func(evs []stream.Event, parent tracing.SpanContext) {
 		if len(evs) == 0 {
 			return
 		}
 		sess.events.Add(int64(len(evs)))
 		for _, ev := range evs {
-			var sc tracing.SpanContext
+			var span *tracing.Span
 			if parent.IsValid() && parent.Sampled() {
-				span := tracer.StartAt(parent, "event.emit", time.Time{})
+				span = tracer.StartAt(parent, "event.emit", time.Time{})
 				span.SetKind(tracing.KindProducer)
 				span.SetAttributes(
 					tracing.Str("session", sess.id),
@@ -441,132 +373,105 @@ func (h *Hub) run(sess *session) {
 					tracing.Int("event.steps_added", int64(ev.StepsAdded)),
 					tracing.Int("event.total_steps", int64(ev.TotalSteps)),
 				)
-				sc = span.Context()
-				h.dispatch(sess.id, ev, sc)
-				span.End()
-				continue
 			}
-			h.dispatch(sess.id, ev, sc)
+			if h.cfg.OnEvent != nil {
+				h.cfg.OnEvent(sess.id, ev, span.Context())
+			}
+			span.End()
 		}
 	}
 
-	// Wave state: a run of consecutive samples processed under one
-	// sampled trace context, flushed into a single tracker.push span.
-	var (
-		waveSC      tracing.SpanContext
-		waveStart   time.Time
-		waveSamples int
-		waveCond    time.Duration
-	)
-	// flushWave ends the open wave's tracker.push span (plus its
-	// synthesized condition child) and returns the push span's context
-	// so the wave's events parent under it.
-	flushWave := func() tracing.SpanContext {
-		if waveSamples == 0 {
-			return tracing.SpanContext{}
+	// openPush starts the tracker.push span covering one tracker call of
+	// n samples (0 for the final Flush) when the session's trace is
+	// sampled, and nil otherwise: untraced blocks pay one atomic load.
+	var pushStart time.Time
+	var pushCond time.Duration
+	openPush := func(n int) *tracing.Span {
+		scp := sess.traceCtx.Load()
+		if tracer == nil || scp == nil || !scp.Sampled() {
+			return nil
 		}
-		span := tracer.StartAt(waveSC, "tracker.push", waveStart)
+		pushStart, pushCond = time.Now(), tk.ConditionTime()
+		span := tracer.StartAt(*scp, "tracker.push", pushStart)
 		span.SetKind(tracing.KindConsumer)
 		span.SetAttributes(
 			tracing.Str("session", sess.id),
-			tracing.Int("samples", int64(waveSamples)),
+			tracing.Int("samples", int64(n)),
 		)
-		if waveCond > 0 {
-			// The conditioner's share of the wave, honest in duration,
-			// synthesized in placement (it ran interleaved with the DSP).
-			cond := tracer.StartAt(span.Context(), "condition", waveStart)
+		return span
+	}
+	// closePush ends the span and returns the context the call's events
+	// parent on. With conditioning on it first adds a condition child
+	// whose duration is the conditioner time the call consumed — honest
+	// in duration, synthesized in placement (the conditioner runs
+	// interleaved with the DSP).
+	closePush := func(span *tracing.Span) tracing.SpanContext {
+		if span == nil {
+			return tracing.SpanContext{}
+		}
+		if h.cfg.Stream.Condition != nil {
+			cond := tracer.StartAt(span.Context(), "condition", pushStart)
 			cond.SetAttributes(tracing.Str("session", sess.id))
-			cond.EndAt(waveStart.Add(waveCond))
+			cond.EndAt(pushStart.Add(tk.ConditionTime() - pushCond))
 		}
 		sc := span.Context()
 		span.End()
-		waveSamples, waveCond = 0, 0
 		return sc
 	}
 
-	// Block scratch for the untraced fast path: the run loop greedily
-	// drains whatever is buffered in the queue (up to one wire frame's
-	// worth) and hands it to PushBlock in one call, amortizing the
-	// tracker's per-push bookkeeping across the backlog. Both slices are
-	// reused for the session's lifetime; events are delivered before the
-	// next block overwrites the buffer.
+	// The run loop greedily drains whatever is buffered in the queue (up
+	// to one wire frame's worth) and hands it to PushBlock in one call,
+	// amortizing the tracker's per-push bookkeeping across the backlog.
+	// Both slices are reused for the session's lifetime; events are
+	// delivered before the next block overwrites the buffer.
 	block := make([]trace.Sample, 0, stream.BlockSamples)
 	var blockEvs []stream.Event
 	condEvery := 0
-drain:
-	for {
-		var s trace.Sample
+	for open := true; open; {
 		select {
-		case smp, ok := <-sess.ch:
+		case s, ok := <-sess.ch:
 			if !ok {
-				break drain
+				open = false
+				continue
 			}
-			s = smp
+			block = append(block[:0], s)
 		case <-tickC:
-			// Periodic checkpoint, between samples (the run goroutine owns
+			// Periodic checkpoint, between blocks (the run goroutine owns
 			// the tracker, so this is the required sample boundary).
 			checkpoint()
 			continue
 		}
-		scp := sess.traceCtx.Load()
-		traced := tracer != nil && scp != nil && scp.Sampled()
-		var evs []stream.Event
-		pushed := 1
-		chClosed := false
-		if traced {
-			// Traced sessions keep the per-sample path: waves need the
-			// conditioner share per push and per-sample span accounting.
-			if waveSamples == 0 {
-				waveSC, waveStart = *scp, time.Now()
-			}
-			var condD time.Duration
-			evs, condD = tk.PushTimed(s)
-			waveCond += condD
-			waveSamples++
-		} else {
-			flushWave()
-			block = append(block[:0], s)
-			for len(block) < stream.BlockSamples {
-				select {
-				case smp, ok := <-sess.ch:
-					if !ok {
-						chClosed = true
-					} else {
-						block = append(block, smp)
-						continue
-					}
-				default:
+	fill:
+		for len(block) < stream.BlockSamples {
+			select {
+			case s, ok := <-sess.ch:
+				if !ok {
+					open = false
+					break fill
 				}
-				break
+				block = append(block, s)
+			default:
+				break fill
 			}
-			blockEvs = tk.PushBlock(block, blockEvs[:0])
-			evs = blockEvs
-			pushed = len(block)
 		}
-		sess.samplesIn.Add(int64(pushed))
+		span := openPush(len(block))
+		blockEvs = tk.PushBlock(block, blockEvs[:0])
+		sc := closePush(span)
+		n := len(block)
+		sess.samplesIn.Add(int64(n))
 		sess.steps.Store(int64(tk.Steps()))
-		sinceCkpt += pushed
-		if condEvery += pushed; condEvery >= 32 {
+		sinceCkpt += n
+		if condEvery += n; condEvery >= 32 {
 			condEvery = 0
 			sess.storeCondReport(tk.ConditionReport())
 		}
-		if traced && (len(evs) > 0 || waveSamples >= waveMaxSamples) {
-			deliver(evs, flushWave())
-		} else {
-			deliver(evs, tracing.SpanContext{})
-		}
-		if chClosed {
-			break drain
-		}
+		deliver(blockEvs, sc)
 	}
-	flushWave()
+	span := openPush(0)
 	finEvs := tk.Flush()
+	finSC := closePush(span)
 	sess.steps.Store(int64(tk.Steps()))
 	sess.storeCondReport(tk.ConditionReport())
-	var finSC tracing.SpanContext
-	if scp := sess.traceCtx.Load(); tracer != nil && scp != nil {
-		finSC = *scp
-	}
 	deliver(finEvs, finSC)
 	if h.cfg.Store != nil {
 		if sess.terminal.Load() {
@@ -591,17 +496,6 @@ drain:
 	h.cfg.Hooks.SessionClosed()
 }
 
-// dispatch routes one event to OnEventCtx (preferred) or OnEvent.
-func (h *Hub) dispatch(id string, ev stream.Event, sc tracing.SpanContext) {
-	if h.cfg.OnEventCtx != nil {
-		h.cfg.OnEventCtx(id, ev, sc)
-		return
-	}
-	if h.cfg.OnEvent != nil {
-		h.cfg.OnEvent(id, ev)
-	}
-}
-
 // removeLocked detaches a session and closes its queue; the session
 // goroutine then flushes and exits. Callers hold the write lock.
 func (h *Hub) removeLocked(sess *session) {
@@ -609,9 +503,9 @@ func (h *Hub) removeLocked(sess *session) {
 	close(sess.ch)
 }
 
-// evictIdlestLocked evicts the longest-idle session. It reports false
-// when there is none to evict.
-func (h *Hub) evictIdlestLocked() bool {
+// evictIdlestLocked evicts the longest-idle session. Callers hold the
+// write lock and only call it at the MaxSessions cap, so a victim exists.
+func (h *Hub) evictIdlestLocked() {
 	var victim *session
 	var oldest time.Time
 	for _, s := range h.sessions {
@@ -619,11 +513,7 @@ func (h *Hub) evictIdlestLocked() bool {
 			victim, oldest = s, t
 		}
 	}
-	if victim == nil {
-		return false
-	}
 	h.removeLocked(victim)
-	return true
 }
 
 // janitor periodically evicts sessions idle for longer than IdleTimeout.
@@ -707,7 +597,7 @@ func (h *Hub) Len() int {
 }
 
 // SetSessionTrace records sc as the trace context governing the
-// session's asynchronous pipeline work (tracker waves, event emission).
+// session's asynchronous pipeline work (tracker blocks, event emission).
 // The serving layer calls it once per sampled ingest request, after the
 // request's first accepted push; later sampled requests replace it.
 // Unknown sessions and invalid contexts are no-ops.
@@ -733,7 +623,7 @@ type SessionStat struct {
 	QueueLen int `json:"queue_len"`
 	QueueCap int `json:"queue_cap"`
 	// AgeSeconds is time since the session was created; IdleSeconds is
-	// time since its last accepted Push.
+	// time since its last accepted PushBlock.
 	AgeSeconds  float64 `json:"age_seconds"`
 	IdleSeconds float64 `json:"idle_seconds"`
 	// Samples is the count of samples drained by the session's tracker;
@@ -786,8 +676,8 @@ func (h *Hub) Stats() []SessionStat {
 	return out
 }
 
-// Close flushes and stops every session and the janitor. Pushes after
-// Close fail with ErrHubClosed. Close blocks until all trailing events
+// Close flushes and stops every session and the janitor. PushBlock after
+// Close fails with ErrHubClosed. Close blocks until all trailing events
 // have been delivered.
 func (h *Hub) Close() {
 	h.mu.Lock()

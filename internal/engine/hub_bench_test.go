@@ -9,11 +9,12 @@ import (
 	"ptrack/internal/stream"
 )
 
-// benchHubPush streams a 60 s walking trace through one hub session and
+// benchHubPush streams a 60 s walking trace through one hub session in
+// BlockSamples blocks via PushBlock, the path the server drives, and
 // waits for the drain, so ns/sample covers the full asynchronous
-// pipeline: queue hop, tracker DSP, and (when traced) the wave-batched
-// span bookkeeping. The queue is sized past the trace so the pusher
-// never spins on a full queue.
+// pipeline: queue hop, tracker DSP, and (when traced) one tracker.push
+// span per drained block. The queue is sized past the trace so the
+// pusher never spins on a full queue.
 func benchHubPush(b *testing.B, hooks *obs.Hooks, sc tracing.SpanContext) {
 	tr := walkingTrace(b, 60)
 	cfg := HubConfig{
@@ -28,15 +29,13 @@ func benchHubPush(b *testing.B, hooks *obs.Hooks, sc tracing.SpanContext) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := h.Push("bench", tr.Samples[0]); err != nil {
-			b.Fatal(err)
-		}
-		if sc.IsValid() {
-			h.SetSessionTrace("bench", sc)
-		}
-		for _, s := range tr.Samples[1:] {
-			if err := h.Push("bench", s); err != nil {
+		for j := 0; j < len(tr.Samples); j += stream.BlockSamples {
+			block := tr.Samples[j:min(j+stream.BlockSamples, len(tr.Samples))]
+			if _, err := h.PushBlock("bench", block); err != nil {
 				b.Fatal(err)
+			}
+			if j == 0 && sc.IsValid() {
+				h.SetSessionTrace("bench", sc)
 			}
 		}
 		h.End("bench")
@@ -50,7 +49,7 @@ func benchHubPush(b *testing.B, hooks *obs.Hooks, sc tracing.SpanContext) {
 // BenchmarkHubPush is the tracing-overhead guard (see make bench-guard):
 // "off" is the production default — no tracer attached — and must track
 // the raw streaming front end (BENCH_stream.json) within the queue-hop
-// allowance; "sampled" pays for span creation on every wave and event
+// allowance; "sampled" pays for span creation on every block and event
 // and is gated by BENCH_trace.json's ceiling.
 func BenchmarkHubPush(b *testing.B) {
 	b.Run("off", func(b *testing.B) {

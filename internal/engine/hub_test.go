@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ptrack/internal/gaitsim"
+	"ptrack/internal/obs/tracing"
 	"ptrack/internal/stream"
 	"ptrack/internal/trace"
 )
@@ -26,6 +27,12 @@ func hubConfig(tr *trace.Trace) HubConfig {
 	return HubConfig{Stream: stream.Config{SampleRate: tr.SampleRate}}
 }
 
+// pushOne hands one sample to the hub: a PushBlock of one.
+func pushOne(h *Hub, id string, s trace.Sample) error {
+	_, err := h.PushBlock(id, []trace.Sample{s})
+	return err
+}
+
 // pushAll pushes a whole trace into one session, retrying full-queue
 // drops so every sample lands (the DSP drains fast; drops only happen
 // when the pusher outruns it).
@@ -33,7 +40,7 @@ func pushAll(t testing.TB, h *Hub, id string, tr *trace.Trace) {
 	t.Helper()
 	for _, s := range tr.Samples {
 		for {
-			err := h.Push(id, s)
+			err := pushOne(h, id, s)
 			if err == nil {
 				break
 			}
@@ -69,7 +76,7 @@ func TestHubConcurrentSessions(t *testing.T) {
 	var mu sync.Mutex
 	steps := make(map[string]int)
 	cfg := hubConfig(tr)
-	cfg.OnEvent = func(session string, ev stream.Event) {
+	cfg.OnEvent = func(session string, ev stream.Event, _ tracing.SpanContext) {
 		mu.Lock()
 		steps[session] += ev.StepsAdded
 		mu.Unlock()
@@ -121,7 +128,7 @@ func TestHubQueueFullDrops(t *testing.T) {
 	drops := 0
 	for i := 0; i < 4; i++ {
 		for _, s := range tr.Samples {
-			if err := h.Push("burst", s); err != nil {
+			if err := pushOne(h, "burst", s); err != nil {
 				if !errors.Is(err, ErrQueueFull) {
 					t.Fatal(err)
 				}
@@ -137,7 +144,7 @@ func TestHubEndFlushes(t *testing.T) {
 	var mu sync.Mutex
 	steps := 0
 	cfg := hubConfig(tr)
-	cfg.OnEvent = func(_ string, ev stream.Event) {
+	cfg.OnEvent = func(_ string, ev stream.Event, _ tracing.SpanContext) {
 		mu.Lock()
 		steps += ev.StepsAdded
 		mu.Unlock()
@@ -179,7 +186,7 @@ func TestHubIdleEviction(t *testing.T) {
 	}
 	defer h.Close()
 
-	if err := h.Push("idler", tr.Samples[0]); err != nil {
+	if err := pushOne(h, "idler", tr.Samples[0]); err != nil {
 		t.Fatal(err)
 	}
 	if h.Len() != 1 {
@@ -216,16 +223,16 @@ func TestHubMaxSessionsEvictsIdlest(t *testing.T) {
 		now = now.Add(time.Second)
 		clockMu.Unlock()
 	}
-	if err := h.Push("a", tr.Samples[0]); err != nil {
+	if err := pushOne(h, "a", tr.Samples[0]); err != nil {
 		t.Fatal(err)
 	}
 	tick()
-	if err := h.Push("b", tr.Samples[0]); err != nil {
+	if err := pushOne(h, "b", tr.Samples[0]); err != nil {
 		t.Fatal(err)
 	}
 	tick()
 	// "c" exceeds the cap; "a" is idlest and must be evicted for it.
-	if err := h.Push("c", tr.Samples[0]); err != nil {
+	if err := pushOne(h, "c", tr.Samples[0]); err != nil {
 		t.Fatal(err)
 	}
 	if h.Len() != 2 {
@@ -246,12 +253,12 @@ func TestHubClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Push("s", tr.Samples[0]); err != nil {
+	if err := pushOne(h, "s", tr.Samples[0]); err != nil {
 		t.Fatal(err)
 	}
 	h.Close()
 	h.Close() // idempotent
-	if err := h.Push("s", tr.Samples[0]); !errors.Is(err, ErrHubClosed) {
+	if err := pushOne(h, "s", tr.Samples[0]); !errors.Is(err, ErrHubClosed) {
 		t.Errorf("Push after Close = %v, want ErrHubClosed", err)
 	}
 }

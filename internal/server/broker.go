@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"time"
 
 	"ptrack/internal/obs"
 	"ptrack/internal/obs/tracing"
@@ -14,12 +15,35 @@ import (
 // events (counted, and announced to the client via `gap` SSE events)
 // but can never stall the pipeline or other clients.
 type broker struct {
-	mu     sync.Mutex
-	feeds  map[string][]*subscriber
-	moving map[string]string // session → new owner URL, consumed by endSession
-	buf    int
-	hooks  *obs.Hooks
-	closed bool
+	mu        sync.Mutex
+	feeds     map[string][]*subscriber
+	moving    map[string]string // session → new owner URL, consumed by endSession
+	parked    map[string]*parkedFeed
+	lastSweep time.Time
+	buf       int
+	hooks     *obs.Hooks
+	closed    bool
+}
+
+// parkTTL is how long a resumed session's parked events wait for a
+// subscriber, counted from the resume and again from the session's
+// end. A reconnecting client takes seconds; the bound only reclaims
+// feeds nobody comes back for.
+const parkTTL = time.Minute
+
+// parkedFeed holds what a session resumed from a snapshot published
+// while no subscriber was attached: its client's SSE stream is usually
+// still reconnecting (a `moved` notice from the old owner, a restart).
+// The first subscriber receives it all, so the migration costs the
+// client nothing, or at least nothing unannounced. msgs keeps the
+// newest events, as many as a subscriber buffer holds; older ones are
+// counted in dropped and announced as a gap ahead of the first.
+type parkedFeed struct {
+	msgs    []eventMsg
+	dropped int64
+	ended   bool
+	moved   string
+	since   time.Time
 }
 
 // eventMsg is one published event: the encoded payload plus the span
@@ -64,6 +88,7 @@ func newBroker(buf int, hooks *obs.Hooks) *broker {
 	return &broker{
 		feeds:  make(map[string][]*subscriber),
 		moving: make(map[string]string),
+		parked: make(map[string]*parkedFeed),
 		buf:    buf,
 		hooks:  hooks,
 	}
@@ -71,8 +96,12 @@ func newBroker(buf int, hooks *obs.Hooks) *broker {
 
 // subscribe attaches a new subscriber to a session's event feed. The
 // session need not exist yet — subscribing before the first sample is
-// the normal order for a client that wants every event. Returns nil
-// after the broker closed (the caller turns that into a 503).
+// the normal order for a client that wants every event. A parked feed
+// (see resume) is handed to the subscriber first: its events fill the
+// buffer, the first carrying the parked overflow as its gap, and if
+// the session already ended the subscriber comes back closed, ready to
+// deliver the backlog and the end. Returns nil after the broker closed
+// (the caller turns that into a 503).
 func (b *broker) subscribe(session string) *subscriber {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -80,9 +109,62 @@ func (b *broker) subscribe(session string) *subscriber {
 		return nil
 	}
 	sub := &subscriber{session: session, ch: make(chan eventMsg, b.buf)}
-	b.feeds[session] = append(b.feeds[session], sub)
 	b.hooks.EventStreamOpened()
+	if p := b.parked[session]; p != nil {
+		delete(b.parked, session)
+		sub.dropped = p.dropped
+		b.hooks.EventsDropped(int(p.dropped))
+		for i, msg := range p.msgs {
+			if i == 0 {
+				msg.gap = p.dropped
+			}
+			sub.ch <- msg // len(p.msgs) <= b.buf: never blocks
+		}
+		if p.ended {
+			b.finishLocked(sub, p.moved)
+			return sub
+		}
+	}
+	b.feeds[session] = append(b.feeds[session], sub)
 	return sub
+}
+
+// resume notes that the hub just restored the session from a stored
+// snapshot. With no subscriber attached, the session's events are
+// parked for the first one instead of being discarded, so a client
+// whose stream reattaches after the first pushes — or after the
+// session already ended — still sees every event, or a gap notice for
+// what did not fit. Called on the session's goroutine before it emits
+// anything.
+func (b *broker) resume(session string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := time.Now()
+	b.sweepLocked(now)
+	if b.closed || len(b.feeds[session]) > 0 {
+		return
+	}
+	if p := b.parked[session]; p != nil {
+		// Evicted and resumed again before anyone subscribed: keep the
+		// backlog, the session is live again.
+		p.ended, p.moved, p.since = false, "", now
+		return
+	}
+	b.parked[session] = &parkedFeed{since: now}
+}
+
+// sweepLocked drops parked feeds older than parkTTL, at most twice per
+// TTL.
+func (b *broker) sweepLocked(now time.Time) {
+	if now.Sub(b.lastSweep) < parkTTL/2 {
+		return
+	}
+	b.lastSweep = now
+	for session, p := range b.parked {
+		if now.Sub(p.since) > parkTTL {
+			delete(b.parked, session)
+		}
+	}
 }
 
 // unsubscribe detaches sub (idempotent; unknown subscribers are a
@@ -115,7 +197,21 @@ func (b *broker) unsubscribe(sub *subscriber) {
 func (b *broker) publish(session string, payload []byte, sc tracing.SpanContext) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, sub := range b.feeds[session] {
+	subs := b.feeds[session]
+	if len(subs) == 0 {
+		if p := b.parked[session]; p != nil {
+			msg := eventMsg{payload: payload, sc: sc}
+			if len(p.msgs) < b.buf {
+				p.msgs = append(p.msgs, msg)
+			} else {
+				copy(p.msgs, p.msgs[1:])
+				p.msgs[len(p.msgs)-1] = msg
+				p.dropped++
+			}
+		}
+		return
+	}
+	for _, sub := range subs {
 		msg := eventMsg{payload: payload, sc: sc}
 		if sub.pending > 0 {
 			msg.gap = sub.dropped
@@ -136,7 +232,8 @@ func (b *broker) publish(session string, payload []byte, sc tracing.SpanContext)
 // handler turns into an `end` event. A subscriber with unannounced
 // drops gets a best-effort pure gap notice first, so losses at the tail
 // of a session are reported too (only a still-full buffer — which the
-// end event could not enter either — loses the notice). Called by the
+// end event could not enter either — loses the notice). A parked feed
+// records the end for the subscriber still to come. Called by the
 // hub's OnSessionEnd, i.e. strictly after the session's trailing events
 // were published.
 func (b *broker) endSession(session string) {
@@ -147,17 +244,28 @@ func (b *broker) endSession(session string) {
 	moved := b.moving[session]
 	delete(b.moving, session)
 	for _, sub := range subs {
-		if sub.pending > 0 {
-			select {
-			case sub.ch <- eventMsg{gap: sub.dropped}:
-				sub.pending = 0
-			default:
-			}
-		}
-		sub.moved = moved
-		close(sub.ch)
-		b.hooks.EventStreamClosed()
+		b.finishLocked(sub, moved)
 	}
+	now := time.Now()
+	b.sweepLocked(now)
+	if p := b.parked[session]; p != nil {
+		p.ended, p.moved, p.since = true, moved, now
+	}
+}
+
+// finishLocked closes one subscriber, after a best-effort pure gap
+// notice for drops it has not been told about yet.
+func (b *broker) finishLocked(sub *subscriber, moved string) {
+	if sub.pending > 0 {
+		select {
+		case sub.ch <- eventMsg{gap: sub.dropped}:
+			sub.pending = 0
+		default:
+		}
+	}
+	sub.moved = moved
+	close(sub.ch)
+	b.hooks.EventStreamClosed()
 }
 
 // markMoved records that the session's next end is a shard migration to
@@ -180,6 +288,7 @@ func (b *broker) close() {
 		return
 	}
 	b.closed = true
+	clear(b.parked)
 	for session, subs := range b.feeds {
 		delete(b.feeds, session)
 		for _, sub := range subs {

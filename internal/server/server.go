@@ -222,9 +222,12 @@ func New(cfg Config) (*Server, error) {
 			},
 		}
 	}
+	if hubStore != nil {
+		hubStore = resumeStore{hubStore, s.broker}
+	}
 	hubOpts := append(append([]ptrack.Option(nil), opts...),
 		ptrack.WithSessionEndHook(s.broker.endSession),
-		ptrack.WithTracedEventHook(s.onEvent))
+		ptrack.WithEventHook(s.onEvent))
 	if hubStore != nil {
 		hubOpts = append(hubOpts, ptrack.WithSessionStore(hubStore),
 			ptrack.WithCheckpointInterval(cfg.CheckpointInterval))
@@ -267,6 +270,22 @@ func New(cfg Config) (*Server, error) {
 // by all subscribers.
 func (s *Server) onEvent(session string, ev ptrack.Event, sc ptrack.SpanContext) {
 	s.broker.publish(session, wire.AppendEvent(nil, ev), sc)
+}
+
+// resumeStore is the hub's session store, telling the broker whenever
+// a session resumes from a snapshot so the events it emits before its
+// client's SSE stream reattaches are parked instead of lost.
+type resumeStore struct {
+	ptrack.SessionStore
+	b *broker
+}
+
+func (s resumeStore) Load(session string) ([]byte, error) {
+	blob, err := s.SessionStore.Load(session)
+	if err == nil {
+		s.b.resume(session)
+	}
+	return blob, err
 }
 
 // Handler returns the server's HTTP handler — the full API without a
@@ -663,8 +682,6 @@ func (s *Server) samplesPushError(w http.ResponseWriter, r *http.Request, accept
 	case errors.Is(err, ptrack.ErrSessionQueueFull):
 		s.cfg.Hooks.RequestRejected("backpressure")
 		writeError(w, http.StatusTooManyRequests, wire.CodeBackpressure, "session queue full", time.Second, accepted)
-	case errors.Is(err, ptrack.ErrSessionLimit):
-		s.reject(w, r, http.StatusServiceUnavailable, "overload", "session limit reached", time.Second)
 	case errors.Is(err, ptrack.ErrHubClosed):
 		s.reject(w, r, http.StatusServiceUnavailable, "draining", "server is draining", time.Second)
 	default:

@@ -215,6 +215,72 @@ func TestBrokerGapAfterOverflow(t *testing.T) {
 	}
 }
 
+// TestBrokerParksResumedSession pins the reconnect contract after a
+// migration or restart: a session resumed from a snapshot with no
+// subscriber attached keeps its events (the newest buffer-full, the
+// rest announced as a gap) and its end for the first subscriber, which
+// also takes over the live feed; a fresh session, or one resumed under
+// an attached subscriber, parks nothing.
+func TestBrokerParksResumedSession(t *testing.T) {
+	reg := obs.NewRegistry()
+	b := newBroker(2, obs.NewHooks(reg))
+
+	// Resumed, overflowed and ended (by a second migration) before the
+	// client's stream reattached.
+	b.resume("s")
+	for _, e := range []string{"e1", "e2", "e3"} {
+		b.publish("s", []byte(e), tracing.SpanContext{})
+	}
+	b.markMoved("s", "http://next")
+	b.endSession("s")
+	sub := b.subscribe("s")
+	for i, want := range []eventMsg{{payload: []byte("e2"), gap: 1}, {payload: []byte("e3")}} {
+		msg, open := <-sub.ch
+		if !open || string(msg.payload) != string(want.payload) || msg.gap != want.gap {
+			t.Fatalf("replayed message %d = {%q gap=%d open=%v}, want {%q gap=%d}",
+				i, msg.payload, msg.gap, open, want.payload, want.gap)
+		}
+	}
+	if _, open := <-sub.ch; open || sub.moved != "http://next" {
+		t.Fatalf("after the backlog: open=%v moved=%q, want closed with moved=http://next", open, sub.moved)
+	}
+	if got := reg.Counter("ptrack_http_events_dropped_total", "").Value(); got != 1 {
+		t.Errorf("drop counter = %v, want 1", got)
+	}
+	b.unsubscribe(sub) // what the SSE handler defers: a no-op here
+
+	// Claimed while live: the backlog first, then live delivery.
+	b.resume("l")
+	b.publish("l", []byte("l1"), tracing.SpanContext{})
+	live := b.subscribe("l")
+	b.publish("l", []byte("l2"), tracing.SpanContext{})
+	for _, want := range []string{"l1", "l2"} {
+		if msg := <-live.ch; string(msg.payload) != want || msg.gap != 0 {
+			t.Fatalf("read {%q gap=%d}, want {%s gap=0}", msg.payload, msg.gap, want)
+		}
+	}
+	b.endSession("l")
+	if _, open := <-live.ch; open {
+		t.Fatal("live subscriber not closed by the session end")
+	}
+
+	// Fresh session: nothing parked. Resumed under an attached
+	// subscriber: nothing parked either.
+	b.publish("f", []byte("f1"), tracing.SpanContext{})
+	attached := b.subscribe("a")
+	b.resume("a")
+	b.unsubscribe(attached)
+	b.publish("a", []byte("a1"), tracing.SpanContext{})
+	for _, id := range []string{"f", "a"} {
+		if late := b.subscribe(id); len(late.ch) != 0 {
+			t.Errorf("session %s: late subscriber got %d parked events, want 0", id, len(late.ch))
+		}
+	}
+	if n := len(b.parked); n != 0 {
+		t.Errorf("%d parked feeds left, want 0", n)
+	}
+}
+
 func TestBrokerFanOutAndDrop(t *testing.T) {
 	reg := obs.NewRegistry()
 	hooks := obs.NewHooks(reg)

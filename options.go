@@ -35,9 +35,8 @@ type options struct {
 	queueSize          int
 	idleTimeout        time.Duration
 	maxSessions        int
-	onEvent            func(session string, ev Event)
+	onEvent            func(session string, ev Event, sc SpanContext)
 	onSessionEnd       func(session string)
-	onEventCtx         func(session string, ev Event, sc SpanContext)
 	sessionStore       SessionStore
 	checkpointInterval time.Duration
 }
@@ -91,18 +90,22 @@ func WithIdleTimeout(d time.Duration) Option {
 }
 
 // WithMaxSessions caps a hub's concurrently live sessions (default
-// unlimited). At the cap, a Push for a new session evicts the
-// longest-idle existing session, or fails with ErrSessionLimit if none
-// can be evicted. SessionHub only.
+// unlimited). At the cap, a push for a new session always evicts the
+// longest-idle existing session (flushing and checkpointing it) to make
+// room. SessionHub only.
 func WithMaxSessions(n int) Option {
 	return func(o *options) { o.maxSessions = n }
 }
 
 // WithEventHook registers fn to receive every classification event,
-// tagged with its session ID. fn is called from per-session goroutines
-// and must be safe for concurrent use; without an event hook the hub
-// discards events (useful only for its side metrics). SessionHub only.
-func WithEventHook(fn func(session string, ev Event)) Option {
+// tagged with its session ID and the span context of the event's
+// event.emit span — the zero SpanContext when the session's request was
+// not sampled or no tracer is attached — so downstream fan-out (e.g. SSE
+// delivery) can parent its own spans on the pipeline. fn is called from
+// per-session goroutines and must be safe for concurrent use; without an
+// event hook the hub discards events (useful only for its side metrics).
+// SessionHub only.
+func WithEventHook(fn func(session string, ev Event, sc SpanContext)) Option {
 	return func(o *options) { o.onEvent = fn }
 }
 
@@ -135,17 +138,6 @@ func WithCheckpointInterval(d time.Duration) Option {
 // SessionHub only.
 func WithSessionEndHook(fn func(session string)) Option {
 	return func(o *options) { o.onSessionEnd = fn }
-}
-
-// WithTracedEventHook registers fn as the hub's event callback, taking
-// precedence over WithEventHook (which is then ignored). fn
-// additionally receives the span context of the event's event.emit span
-// — the zero SpanContext when the session's request was not sampled or
-// no tracer is attached — so downstream fan-out (e.g. SSE delivery) can
-// parent its own spans on the pipeline. fn is called from per-session
-// goroutines and must be safe for concurrent use. SessionHub only.
-func WithTracedEventHook(fn func(session string, ev Event, sc SpanContext)) Option {
-	return func(o *options) { o.onEventCtx = fn }
 }
 
 // WithConditioning routes every input trace or sample stream through

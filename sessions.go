@@ -24,11 +24,10 @@ type SessionStat = engine.SessionStat
 
 // NewSessionHub builds a hub for streams sampled at sampleRate, giving
 // every constructor in the package the same (sampleRate, opts...)
-// shape. Register an event callback with WithEventHook (or
-// WithTracedEventHook); without one, events are discarded. The options
-// are those of NewOnline plus the hub knobs (WithSessionQueueSize,
-// WithIdleTimeout, WithMaxSessions, WithSessionStore,
-// WithCheckpointInterval). Configuration errors wrap ErrInvalidProfile
+// shape. Register an event callback with WithEventHook; without one,
+// events are discarded. The options are those of NewOnline plus the hub
+// knobs (WithSessionQueueSize, WithIdleTimeout, WithMaxSessions,
+// WithSessionStore, WithCheckpointInterval). Configuration errors wrap ErrInvalidProfile
 // / ErrInvalidSampleRate.
 func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 	o, err := resolve(opts)
@@ -44,7 +43,6 @@ func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 		IdleTimeout:        o.idleTimeout,
 		MaxSessions:        o.maxSessions,
 		OnEvent:            o.onEvent,
-		OnEventCtx:         o.onEventCtx,
 		OnSessionEnd:       o.onSessionEnd,
 		Hooks:              o.observer,
 		Store:              o.sessionStore,
@@ -56,27 +54,27 @@ func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 	return &SessionHub{hub: hub}, nil
 }
 
-// NewSessionHubFunc builds a hub with a positional event callback.
+// NewSessionHubFunc builds a hub with a positional event callback that
+// does not take the span context.
 //
 // Deprecated: this is the pre-redesign NewSessionHub signature, kept
-// for one release as a thin wrapper. Use NewSessionHub with
-// WithEventHook(onEvent) instead.
+// as a thin wrapper. Use NewSessionHub with WithEventHook instead.
 func NewSessionHubFunc(sampleRate float64, onEvent func(session string, ev Event), opts ...Option) (*SessionHub, error) {
 	if onEvent != nil {
-		opts = append(append([]Option(nil), opts...), WithEventHook(onEvent))
+		opts = append(append([]Option(nil), opts...), WithEventHook(func(session string, ev Event, _ SpanContext) {
+			onEvent(session, ev)
+		}))
 	}
 	return NewSessionHub(sampleRate, opts...)
 }
 
-// Push routes one sample to the given session, creating the session on
-// first use. It never blocks on pipeline work: a full session queue
-// drops the sample and returns an error wrapping ErrSessionQueueFull.
-// Other failure modes wrap ErrHubClosed and ErrSessionLimit.
+// Push routes one sample to the given session: a PushBlock of one. It
+// never blocks on pipeline work: a full session queue drops the sample
+// and returns an error wrapping ErrSessionQueueFull; after Close it
+// returns an error wrapping ErrHubClosed.
 func (h *SessionHub) Push(session string, s Sample) error {
-	if err := h.hub.Push(session, s); err != nil {
-		return fmt.Errorf("ptrack: %w", err)
-	}
-	return nil
+	_, err := h.PushBlock(session, []Sample{s})
+	return err
 }
 
 // PushBlock routes a block of samples to the given session under a
@@ -109,7 +107,7 @@ func (h *SessionHub) Evict(session string) bool { return h.hub.Evict(session) }
 func (h *SessionHub) ActiveSessions() int { return h.hub.Len() }
 
 // SetTrace attributes the session's asynchronous pipeline work
-// (tracker waves, event emission) to the given sampled span context —
+// (tracker blocks, event emission) to the given sampled span context —
 // typically the server-side ingest span of the request that pushed the
 // session's samples. Later calls replace the context; unknown sessions
 // and invalid contexts are no-ops. See docs/TRACING.md.

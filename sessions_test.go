@@ -37,7 +37,7 @@ func TestSessionHubDurableAcrossRecycle(t *testing.T) {
 	newHub := func() *SessionHub {
 		hub, err := NewSessionHub(tr.SampleRate,
 			WithSessionStore(st),
-			WithEventHook(func(session string, ev Event) {
+			WithEventHook(func(session string, ev Event, _ SpanContext) {
 				mu.Lock()
 				events = append(events, ev)
 				mu.Unlock()
@@ -106,5 +106,31 @@ func TestSessionHubFuncWrapper(t *testing.T) {
 	defer mu.Unlock()
 	if steps == 0 {
 		t.Fatal("deprecated wrapper delivered no events")
+	}
+}
+
+// TestSessionHubPushAllocFree pins Push — a PushBlock of one sample —
+// at zero allocations per call on a live session. AllocsPerRun floors
+// the per-call average, so the session goroutine's occasional event and
+// arena allocations do not count, while one allocation per Push would.
+func TestSessionHubPushAllocFree(t *testing.T) {
+	tr := walkingTraces(t, 1, 20)[0]
+	hub, err := NewSessionHub(tr.SampleRate, WithSessionQueueSize(len(tr.Samples)+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if err := hub.Push("live", tr.Samples[0]); err != nil {
+		t.Fatal(err)
+	}
+	i := 1
+	allocs := testing.AllocsPerRun(len(tr.Samples)/2, func() {
+		if err := hub.Push("live", tr.Samples[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("SessionHub.Push allocates %v times per call, want 0", allocs)
 	}
 }
