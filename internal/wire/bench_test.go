@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ptrack/internal/gaitsim"
+	"ptrack/internal/stream"
 	"ptrack/internal/trace"
 )
 
@@ -14,7 +15,9 @@ import (
 // alloc-free at steady state (allocs/op stays O(1) per pass while
 // samples/op is in the thousands, so allocs-per-sample rounds to ~0).
 // The payload is a real simulated walking trace — full-precision floats,
-// the worst case for the text format.
+// the worst case for the text format — decoded through NextBlock in
+// blocks of stream.BlockSamples, the way the server feeds its session
+// hub.
 
 func benchTrace(b *testing.B) *trace.Trace {
 	b.Helper()
@@ -41,15 +44,18 @@ func benchDecode(b *testing.B, contentType string) {
 	}
 	r := bytes.NewReader(buf)
 	d := NewDecoder(r, contentType)
+	block := make([]trace.Sample, 0, stream.BlockSamples)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(buf)
 		d.r, d.start, d.end, d.eof, d.magic = r, 0, 0, false, false
+		d.n, d.readErr = 0, nil
 		d.buf = d.buf[:0]
 		for {
-			if _, err := d.Next(); err != nil {
+			var err error
+			if block, err = d.NextBlock(block, stream.BlockSamples); err != nil {
 				if err != io.EOF {
 					b.Fatal(err)
 				}

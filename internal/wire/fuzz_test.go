@@ -100,6 +100,25 @@ func sameSample(a, b trace.Sample) bool {
 		eq(a.Gyro.X, b.Gyro.X) && eq(a.Gyro.Y, b.Gyro.Y) && eq(a.Gyro.Z, b.Gyro.Z)
 }
 
+// FuzzParseNumber: for any input, parseNumber and strconv.ParseFloat
+// agree on the delimited token — accept/reject and every bit of the
+// value — and fastFloat agrees with strconv on any prefix it claims.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "1.5", "2.7962235248090943", "-0.004372739143334291",
+		"1.2345678901234567e-05", "9007199254740993", "12345678901234567890",
+		"4.9e-324", "2.2250738585072011e-308", "1e400", "1e-400",
+		"1.2345678901234567e64", "1.2345678901234567e65",
+		"1.", ".5", "5e", "1e+", "--1", "+3", "0x1p-2", "1_0", "NaN", "Inf",
+		"1.5,", "7}", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		checkNumber(t, in)
+	})
+}
+
 // FuzzParseEventJSON: the SSE payload parser must never panic, and
 // whatever it accepts must re-encode deterministically.
 func FuzzParseEventJSON(f *testing.F) {

@@ -21,6 +21,18 @@
 // strings. Floats round-trip exactly — encoders use strconv's shortest
 // form and decoders parse with strconv semantics — so a trace survives
 // the wire bit-identical.
+//
+// NDJSON numbers are parsed in one pass by a fast path (number.go):
+// plain decimal tokens are converted exactly by Clinger's algorithm or
+// Eisel–Lemire (ported from Go's strconv, over a 1e-64..1e64 table),
+// and every token the fast path declines — NaN, Inf, hex floats,
+// underscores, mantissas past 19 digits, exponents outside the table,
+// malformed input — falls back to strconv.ParseFloat. The contract is
+// bit identity with strconv.ParseFloat: the same bits for every
+// accepted token and the same accept/reject decision for every token.
+// FuzzParseNumber, TestParseNumberCorpus and TestParseNumberRandom pin
+// it against strconv, and TestPowersOfTenTable recomputes the table
+// with math/big.
 package wire
 
 import (
@@ -334,49 +346,50 @@ func parseSampleLine(b []byte) (trace.Sample, error) {
 	if len(b) < 2 || b[0] != '{' {
 		return s, fmt.Errorf("%w: expected JSON object", ErrFormat)
 	}
-	b = b[1:]
+	// One forward pass: b carries no trailing whitespace, so skipping
+	// leading whitespace at each step is all the trimming left to do.
+	i := 1
 	seenAny := false
 	for {
-		b = trimSpace(b)
-		if len(b) == 0 {
+		i = skipSpace(b, i)
+		if i == len(b) {
 			return s, fmt.Errorf("%w: unterminated object", ErrFormat)
 		}
-		if b[0] == '}' {
-			if len(trimSpace(b[1:])) != 0 {
+		if b[i] == '}' {
+			if i+1 != len(b) {
 				return s, fmt.Errorf("%w: trailing data after object", ErrFormat)
 			}
 			return s, nil
 		}
 		if seenAny {
-			if b[0] != ',' {
+			if b[i] != ',' {
 				return s, fmt.Errorf("%w: expected ',' between fields", ErrFormat)
 			}
-			b = trimSpace(b[1:])
+			i = skipSpace(b, i+1)
 		}
 		seenAny = true
-		if len(b) == 0 || b[0] != '"' {
+		if i == len(b) || b[i] != '"' {
 			return s, fmt.Errorf("%w: expected field name", ErrFormat)
 		}
-		b = b[1:]
-		q := indexByte(b, '"')
-		if q < 0 {
+		i++
+		k := i
+		for k < len(b) && b[k] != '"' {
+			k++
+		}
+		if k == len(b) {
 			return s, fmt.Errorf("%w: unterminated field name", ErrFormat)
 		}
-		key := b[:q]
-		b = trimSpace(b[q+1:])
-		if len(b) == 0 || b[0] != ':' {
+		key := b[i:k]
+		i = skipSpace(b, k+1)
+		if i == len(b) || b[i] != ':' {
 			return s, fmt.Errorf("%w: expected ':' after field name", ErrFormat)
 		}
-		b = trimSpace(b[1:])
-		num, rest, err := scanNumber(b)
+		i = skipSpace(b, i+1)
+		v, n, err := parseNumber(b[i:])
 		if err != nil {
 			return s, err
 		}
-		v, err := parseFloat(num)
-		if err != nil {
-			return s, fmt.Errorf("%w: bad number %q", ErrFormat, num)
-		}
-		b = rest
+		i += n
 		switch string(key) { // compiled to an alloc-free switch on []byte
 		case "t":
 			s.T = v
@@ -400,23 +413,20 @@ func parseSampleLine(b []byte) (trace.Sample, error) {
 	}
 }
 
-// scanNumber splits b into a leading JSON-ish number token and the rest.
-// It accepts the strconv superset (NaN, Inf, hex floats are rejected
-// later by parseFloat if malformed) — the serving layer decides whether
-// non-finite values are admissible, not the scanner.
-func scanNumber(b []byte) (num, rest []byte, err error) {
+// scanNumber returns the JSON-ish number token that opens b: everything
+// up to the first ',', '}', ' ', '\t' or '\r'. It accepts the strconv
+// superset (NaN, Inf, hex floats are rejected later by parseFloat if
+// malformed) — the serving layer decides whether non-finite values are
+// admissible, not the scanner.
+func scanNumber(b []byte) (num []byte, err error) {
 	i := 0
-	for i < len(b) {
-		c := b[i]
-		if c == ',' || c == '}' || c == ' ' || c == '\t' || c == '\r' {
-			break
-		}
+	for i < len(b) && !isNumberDelim(b[i]) {
 		i++
 	}
 	if i == 0 {
-		return nil, nil, fmt.Errorf("%w: expected number", ErrFormat)
+		return nil, fmt.Errorf("%w: expected number", ErrFormat)
 	}
-	return b[:i], b[i:], nil
+	return b[:i], nil
 }
 
 // parseFloat parses b with strconv.ParseFloat semantics without
@@ -578,6 +588,15 @@ func ParseLabel(s string) (gaitid.Label, error) {
 }
 
 func indexByte(b []byte, c byte) int { return bytes.IndexByte(b, c) }
+
+// skipSpace returns the index of the first byte of b at or after i that
+// is not a space, tab or carriage return.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
 
 func trimSpace(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {

@@ -150,6 +150,15 @@ func TestDecoderErrors(t *testing.T) {
 		{"bad number", ContentTypeNDJSON, `{"t":1x}` + "\n", ErrFormat},
 		{"string value", ContentTypeNDJSON, `{"t":"hi"}` + "\n", ErrFormat},
 		{"trailing garbage", ContentTypeNDJSON, `{"t":1} extra` + "\n", ErrFormat},
+		{"exponent without digits", ContentTypeNDJSON, `{"t":5e}` + "\n", ErrFormat},
+		{"exponent sign without digits", ContentTypeNDJSON, `{"t":1e+}` + "\n", ErrFormat},
+		{"double sign", ContentTypeNDJSON, `{"t":--1}` + "\n", ErrFormat},
+		{"double underscore", ContentTypeNDJSON, `{"t":1__0}` + "\n", ErrFormat},
+		{"lone dot", ContentTypeNDJSON, `{"t":.}` + "\n", ErrFormat},
+		{"second dot", ContentTypeNDJSON, `{"t":1.5.3}` + "\n", ErrFormat},
+		{"overflow", ContentTypeNDJSON, `{"t":1e400}` + "\n", ErrFormat},
+		{"missing number", ContentTypeNDJSON, `{"t":,"ax":1}` + "\n", ErrFormat},
+		{"number then junk", ContentTypeNDJSON, `{"t":2.5x}` + "\n", ErrFormat},
 		{"oversized line", ContentTypeNDJSON, `{"t":` + strings.Repeat("1", MaxLineLen+10) + "}\n", ErrLineTooLong},
 		{"oversized final line", ContentTypeNDJSON, `{"t":` + strings.Repeat("1", MaxLineLen+10), ErrLineTooLong},
 		{"missing magic", ContentTypeBinary, "XXXX" + strings.Repeat("\x00", 64), ErrFormat},
